@@ -31,13 +31,16 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 
 # The float32 scoring kernel's contract: similarity scores within 1e-4
-# of the float64 reference with stable ranks/verdicts, plus bitwise
-# parity of the packed-SSE kernels against the portable ones. Run
-# without -short so the Scenario-II shape (the paper model's h=64 m=8
-# head width, which exercises the packed attention kernels) is covered.
+# of the float64 reference with stable ranks/verdicts, plus the kernel
+# tests: bitwise parity of the AVX matmul (dispatch forced each way)
+# and the SSE softmax against their portable twins, the softmax
+# exponential's error bound against math.Exp, and the float64
+# softmax's bit-identical masked skip. Run without -short so the
+# Scenario-II shape (the paper model's h=64 m=8 head width, which
+# exercises the packed attention kernels) is covered.
 equiv32:
 	$(GO) test -count=1 -run 'TestFloat32' ./internal/transdas/
-	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8' ./internal/tensor/
+	$(GO) test -count=1 -run 'TestMatMul32AsmMatchesGeneric|TestAttnKernels8|TestSoftmax32MatchesGeneric|TestExp32Accuracy|TestSoftmaxMaskedSkipBitIdentical' ./internal/tensor/
 
 # The CI gate: static checks plus the suite under the race detector
 # (the serving layer is heavily concurrent), the float32 equivalence
@@ -55,9 +58,15 @@ bench:
 # ingest, feed front-door lines/sec, batch scoring in both precisions,
 # the memoized scoring sweep across hit rates — each sub-run reports
 # its measured hit% — and training windows/sec) for the CI artifact.
+# The scoring benches cost milliseconds per iteration, so they run a
+# fixed 100 iterations (100ms would give them 1-3): one full period of
+# BenchmarkScoreCached's hit schedule (i%100 < hit%), so each hit-rate
+# sub-run measures the rate it is named for. The ingest-plane benches
+# keep a 100ms benchtime.
 bench-smoke:
 	{ \
-	  $(GO) test -bench='BenchmarkScoreBatch|BenchmarkScoreBatch32|BenchmarkScoreCached|BenchmarkDetectionScore|BenchmarkServeThroughput|BenchmarkFeedThroughput' -benchtime=100ms -run='^$$' . && \
+	  $(GO) test -bench='BenchmarkScoreBatch|BenchmarkScoreBatch32|BenchmarkScoreCached|BenchmarkDetectionScore' -benchtime=100x -run='^$$' . && \
+	  $(GO) test -bench='BenchmarkServeThroughput|BenchmarkFeedThroughput' -benchtime=100ms -run='^$$' . && \
 	  $(GO) test -bench=BenchmarkTrainEpoch -benchtime=1x -benchmem -run='^$$' . && \
 	  $(GO) test -bench=BenchmarkScoreSequentialTape -benchtime=100ms -run='^$$' ./internal/transdas/ ; \
 	} | tee bench-smoke.out

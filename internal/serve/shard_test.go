@@ -175,7 +175,10 @@ func TestShardV1UpgradeRestore(t *testing.T) {
 		}
 	}
 
-	ctl := NewService(testUCAD(t), Config{Workers: 2, SweepEvery: -1, Clock: clock.Now})
+	// The control mirrors the v1 writer's single stream (Shards=1):
+	// session ids embed the owning shard's counter, so a control on
+	// the default GOMAXPROCS shard count would number them differently.
+	ctl := NewService(testUCAD(t), Config{Workers: 2, Shards: 1, SweepEvery: -1, Clock: clock.Now})
 	for i, client := range clients {
 		ingestN(t, ctl, client, 4+i, 0)
 	}

@@ -21,3 +21,9 @@ func QKScores8(dst, q, k []float32, stride int)
 //
 //go:noescape
 func AttnV8(out, w, v []float32, stride int)
+
+// softmax32 is the SSE2 kernel behind Softmax32; len(row) must be a
+// multiple of 4. Implemented in attn32_amd64.s.
+//
+//go:noescape
+func softmax32(row []float32)

@@ -54,12 +54,12 @@ func (m *Matrix32) RowsView(from, to int) *Matrix32 {
 }
 
 // MatMulInto32 computes dst = a·b in float32. dst must not alias a or
-// b. On amd64 the inner loop is a packed-SSE assembly kernel (4 lanes
-// per instruction — the parallelism the scalar float64 path cannot
-// reach); elsewhere it falls back to a register-blocked pure-Go kernel.
-// Both walk k in quartets with identical left-to-right add order, so
-// the two builds agree bitwise, and all-zero a-quartets (padded or
-// masked inputs) are skipped exactly as in the float64 kernel.
+// b. On amd64 with AVX the inner loop is an 8-lane assembly kernel
+// (the parallelism the scalar float64 path cannot reach); elsewhere it
+// is a register-blocked pure-Go kernel. Both walk k in quartets with
+// identical left-to-right add order and separately rounded products,
+// so the two agree bitwise, and all-zero a-quartets (padded or masked
+// inputs) are skipped exactly as in the float64 kernel.
 func MatMulInto32(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul32 shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
@@ -69,10 +69,18 @@ func MatMulInto32(dst, a, b *Matrix32) {
 	matMul32(dst, a, b)
 }
 
+// matMul32 is the kernel behind MatMulInto32: matMul32Generic, or on
+// amd64 the AVX kernel when the CPU has it, chosen once at init.
+var matMul32 = matMul32Generic
+
 // matMul32Generic is the portable kernel behind MatMulInto32,
 // register-blocked 4 rows x 4 k-terms: each pass over a destination
 // quartet reuses the four streamed b-rows across four output rows,
 // quartering the b-matrix traffic. dst is pre-zeroed by the caller.
+//
+// Every product is rounded by an explicit float32 conversion: Go may
+// fuse x*y+z into one FMA (on arm64, or on amd64 with GOAMD64=v3),
+// which rounds once where the assembly kernel rounds twice.
 func matMul32Generic(dst, a, b *Matrix32) {
 	n, bc := a.Cols, b.Cols
 	i := 0
@@ -103,10 +111,10 @@ func matMul32Generic(dst, a, b *Matrix32) {
 			b3 := b.Data[(k+3)*bc : (k+4)*bc : (k+4)*bc]
 			for j := range b3 {
 				v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
-				dr0[j] += a00*v0 + a01*v1 + a02*v2 + a03*v3
-				dr1[j] += a10*v0 + a11*v1 + a12*v2 + a13*v3
-				dr2[j] += a20*v0 + a21*v1 + a22*v2 + a23*v3
-				dr3[j] += a30*v0 + a31*v1 + a32*v2 + a33*v3
+				dr0[j] += float32(a00*v0) + float32(a01*v1) + float32(a02*v2) + float32(a03*v3)
+				dr1[j] += float32(a10*v0) + float32(a11*v1) + float32(a12*v2) + float32(a13*v3)
+				dr2[j] += float32(a20*v0) + float32(a21*v1) + float32(a22*v2) + float32(a23*v3)
+				dr3[j] += float32(a30*v0) + float32(a31*v1) + float32(a32*v2) + float32(a33*v3)
 			}
 		}
 		for ; k < n; k++ {
@@ -116,10 +124,10 @@ func matMul32Generic(dst, a, b *Matrix32) {
 			}
 			brow := b.Data[k*bc : (k+1)*bc]
 			for j, bv := range brow {
-				dr0[j] += a0v * bv
-				dr1[j] += a1v * bv
-				dr2[j] += a2v * bv
-				dr3[j] += a3v * bv
+				dr0[j] += float32(a0v * bv)
+				dr1[j] += float32(a1v * bv)
+				dr2[j] += float32(a2v * bv)
+				dr3[j] += float32(a3v * bv)
 			}
 		}
 	}
@@ -137,7 +145,7 @@ func matMul32Generic(dst, a, b *Matrix32) {
 			b2 := b.Data[(k+2)*bc : (k+3)*bc]
 			b3 := b.Data[(k+3)*bc : (k+4)*bc : (k+4)*bc]
 			for j := range b3 {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				drow[j] += float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; k < n; k++ {
@@ -147,7 +155,7 @@ func matMul32Generic(dst, a, b *Matrix32) {
 			}
 			brow := b.Data[k*bc : (k+1)*bc]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -149,39 +149,6 @@ func TestRowsView32(t *testing.T) {
 	}
 }
 
-// TestMatMul32AsmMatchesGeneric pins the build-tagged assembly path to
-// the portable kernel bitwise, across shapes that exercise the packed
-// loop, the scalar tail, and the zero-quartet skip.
-func TestMatMul32AsmMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{1, 4, 8}, {3, 10, 30}, {5, 64, 192}, {7, 13, 9}, {16, 64, 64}, {2, 8, 1}} {
-		ar, n, bc := dims[0], dims[1], dims[2]
-		a := NewMatrix32(ar, n)
-		b := NewMatrix32(n, bc)
-		for i := range a.Data {
-			a.Data[i] = float32(rng.NormFloat64())
-		}
-		// Zero a few full quartets to exercise the skip path.
-		for k := 0; k+4 <= n; k += 8 {
-			for _, row := range []int{0, ar - 1} {
-				copy(a.Row(row)[k:k+4], make([]float32, 4))
-			}
-		}
-		for i := range b.Data {
-			b.Data[i] = float32(rng.NormFloat64())
-		}
-		got := NewMatrix32(ar, bc)
-		MatMulInto32(got, a, b)
-		want := NewMatrix32(ar, bc)
-		matMul32Generic(want, a, b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%dx%dx%d: elem %d: asm %v != generic %v", ar, n, bc, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
 // TestAttnKernels8 checks the packed per-row attention kernels against
 // plain Go loops, over strides and row counts including the empty row.
 func TestAttnKernels8(t *testing.T) {
@@ -204,7 +171,7 @@ func TestAttnKernels8(t *testing.T) {
 		for j := 0; j < tc.n; j++ {
 			var want float32
 			for c := 0; c < 8; c++ {
-				want += q[c] * k[j*tc.stride+c]
+				want += float32(q[c] * k[j*tc.stride+c])
 			}
 			if diff := float64(got[j] - want); diff > 1e-5 || diff < -1e-5 {
 				t.Fatalf("QKScores8 n=%d stride=%d j=%d: got %v want %v", tc.n, tc.stride, j, got[j], want)
@@ -224,13 +191,99 @@ func TestAttnKernels8(t *testing.T) {
 		AttnV8(out, w, k, tc.stride)
 		for j, wv := range w {
 			for c := 0; c < 8; c++ {
-				wantOut[c] += wv * k[j*tc.stride+c]
+				wantOut[c] += float32(wv * k[j*tc.stride+c])
 			}
 		}
 		for c := range out {
 			if out[c] != wantOut[c] {
 				t.Fatalf("AttnV8 n=%d stride=%d lane=%d: got %v want %v", tc.n, tc.stride, c, out[c], wantOut[c])
 			}
+		}
+	}
+}
+
+// TestSoftmax32MatchesGeneric pins the Softmax32 kernel to its Go
+// twin bitwise, for every row length 4-64, over rows mixing ordinary
+// scores, masked entries, a padded tail and extreme-range lanes. On
+// non-amd64 builds the kernel is the twin and the test is trivially
+// true.
+func TestSoftmax32MatchesGeneric(t *testing.T) {
+	const masked = float32(-1e9)
+	extremes := []float32{0, float32(math.Copysign(0, -1)), 87, -87, -87.3, -87.29, -87.31, -88, 1e4, -1e4, -3e38, 3e38, 1e-30}
+	rng := rand.New(rand.NewSource(13))
+	for n := 4; n <= 64; n += 4 {
+		for trial := 0; trial < 50; trial++ {
+			row := make([]float32, n)
+			nreal := 1 + rng.Intn(n) // entries past nreal are padding
+			live := rng.Intn(nreal)  // one real entry is never masked
+			for i := range row {
+				switch {
+				case i == live:
+					row[i] = float32(rng.NormFloat64())
+				case i >= nreal:
+					row[i] = masked
+				case rng.Intn(5) == 0:
+					row[i] = masked
+				case trial%5 == 4 && rng.Intn(3) == 0:
+					row[i] = extremes[rng.Intn(len(extremes))]
+				default:
+					row[i] = float32(rng.NormFloat64() * float64(1+trial%4*10))
+				}
+			}
+			want := append([]float32(nil), row...)
+			softmax32Generic(want)
+			got := append([]float32(nil), row...)
+			Softmax32(got)
+			var sum float64
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("n=%d trial=%d lane %d (x=%v): kernel %v (%#x) != twin %v (%#x)",
+						n, trial, i, row[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+				if row[i] == masked && got[i] != 0 {
+					t.Fatalf("n=%d trial=%d: masked lane %d = %v, want exactly 0", n, trial, i, got[i])
+				}
+				sum += float64(got[i])
+			}
+			if math.Abs(sum-1) > 1e-5 {
+				t.Fatalf("n=%d trial=%d: weights sum to %v", n, trial, sum)
+			}
+		}
+	}
+}
+
+// TestExp32Accuracy bounds the softmax exponential against math.Exp:
+// relative error at most 2e-7 over [-87, 0], exactly 0 below the
+// cutoff.
+func TestExp32Accuracy(t *testing.T) {
+	if got := exp32(0); got != 1 {
+		t.Fatalf("exp32(0) = %v, want 1", got)
+	}
+	// A uniform grid over [-87, 0] (one point per ~4e-5, which crosses
+	// every change of the reduction's n many times) plus log-spaced
+	// points toward 0.
+	var worst float64
+	var worstAt float32
+	check := func(d float32) {
+		want := math.Exp(float64(d))
+		if rel := math.Abs(float64(exp32(d))-want) / want; rel > worst {
+			worst, worstAt = rel, d
+		}
+	}
+	const grid = 1 << 21
+	for i := 0; i <= grid; i++ {
+		check(float32(-87 * float64(i) / grid))
+	}
+	for e := -3.0; e >= -30; e -= 1.0 / 64 {
+		check(float32(-math.Pow(10, e)))
+	}
+	if worst > 2e-7 {
+		t.Fatalf("max relative error %g at %v, want <= 2e-7", worst, worstAt)
+	}
+	t.Logf("max relative error %g at %v", worst, worstAt)
+	for _, d := range []float32{math.Nextafter32(exp32Cutoff, -100), -87.5, -88, -104, -1e9, -3e38, float32(math.Inf(-1))} {
+		if got := exp32(d); math.Float32bits(got) != 0 {
+			t.Fatalf("exp32(%v) = %v, want exactly +0", d, got)
 		}
 	}
 }

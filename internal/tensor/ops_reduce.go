@@ -103,7 +103,14 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 // inference kernels that manage their own buffers.
 func SoftmaxInto(dst, src []float64) { softmaxInto(dst, src) }
 
-// softmaxInto writes softmax(src) into dst (may alias).
+// expUnderflow is math.Exp's underflow cutoff: below it math.Exp
+// returns exactly 0.
+const expUnderflow = -7.45133219101941108420e+02
+
+// softmaxInto writes softmax(src) into dst (may alias). Terms below
+// math.Exp's underflow cutoff are written as 0 without the call —
+// bit-identical to calling it, and masked attention scores (nn's
+// -1e9) never pay for the exponential.
 func softmaxInto(dst, src []float64) {
 	maxv := math.Inf(-1)
 	for _, x := range src {
@@ -113,7 +120,11 @@ func softmaxInto(dst, src []float64) {
 	}
 	var sum float64
 	for i, x := range src {
-		e := math.Exp(x - maxv)
+		d := x - maxv
+		var e float64
+		if !(d < expUnderflow) { // NaN goes to math.Exp too
+			e = math.Exp(d)
+		}
 		dst[i] = e
 		sum += e
 	}

@@ -101,6 +101,64 @@ func TestSoftmaxRowsIsDistribution(t *testing.T) {
 }
 
 // Property: transpose is an involution.
+// TestSoftmaxMaskedSkipBitIdentical checks that skipping math.Exp
+// below its underflow cutoff changes no bit: random rows holding
+// masked scores (nn.MaskedScore, -1e9), padding and shifted scores on
+// both sides of the cutoff normalize exactly as with a math.Exp call
+// on every term, and math.Exp itself is exactly 0 on a dense walk
+// below the cutoff.
+func TestSoftmaxMaskedSkipBitIdentical(t *testing.T) {
+	const masked = -1e9
+	withExp := func(dst, src []float64) {
+		maxv := math.Inf(-1)
+		for _, x := range src {
+			maxv = math.Max(maxv, x)
+		}
+		var sum float64
+		for i, x := range src {
+			dst[i] = math.Exp(x - maxv)
+			sum += dst[i]
+		}
+		for i := range dst {
+			dst[i] /= sum
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		row := make([]float64, n)
+		for i := range row {
+			switch rng.Intn(4) {
+			case 0:
+				row[i] = masked
+			case 1:
+				// Shifted score within a few units of the cutoff once
+				// the row max (near 0) is subtracted.
+				row[i] = expUnderflow + 4*(rng.Float64()-0.5)
+			default:
+				row[i] = rng.NormFloat64()
+			}
+		}
+		row[rng.Intn(n)] = rng.NormFloat64() // at least one live term
+		want := make([]float64, n)
+		withExp(want, row)
+		got := make([]float64, n)
+		SoftmaxInto(got, row)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d elem %d (x=%v): %v != math.Exp path %v", trial, i, row[i], got[i], want[i])
+			}
+		}
+	}
+	d := math.Nextafter(expUnderflow, math.Inf(-1))
+	for i := 0; i < 1<<20; i++ {
+		if e := math.Exp(d); math.Float64bits(e) != 0 {
+			t.Fatalf("math.Exp(%v) = %v below the cutoff", d, e)
+		}
+		d = math.Nextafter(d, math.Inf(-1))
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	f := func(vals [6]float64) bool {
 		data := vals[:]

@@ -10,8 +10,9 @@ import (
 // Precision selects the scoring kernel data type. Training and the
 // property-tested reference path are always float64; float32 is an
 // opt-in inference fast path that halves the memory traffic of the
-// scoring matmuls and, on amd64, runs them four lanes per instruction
-// through packed-SSE kernels the scalar float64 path cannot use.
+// scoring matmuls and, on amd64, runs the matmuls, the attention
+// products and the softmax through packed kernels (AVX when the CPU
+// has it, SSE2 otherwise) the scalar float64 path cannot use.
 type Precision int
 
 const (
@@ -62,8 +63,8 @@ type snapshot32 struct {
 
 // snapBlock32 is one attention block's converted weights.
 type snapBlock32 struct {
-	wqkv *tensor.Matrix32 // h x 3h fused Q|K|V projection
-	wo   *tensor.Matrix32
+	wqkv                   *tensor.Matrix32 // h x 3h fused Q|K|V projection
+	wo                     *tensor.Matrix32
 	ln1g, ln1b, ln2g, ln2b []float32
 	ln1eps, ln2eps         float64
 	w1                     *tensor.Matrix32
@@ -143,9 +144,9 @@ func rowTo32(src []float64) []float32 {
 // forward32 is forward in single precision: the same tape-free stacked
 // pass over the slotted contexts, reading the frozen snapshot instead
 // of the live float64 weights, with the identical operation order —
-// padded positions still embed to zero and masked softmax terms still
-// underflow to exactly 0, so batch composition cannot perturb scores
-// in either precision.
+// padded positions still embed to zero and masked softmax terms are
+// still exactly 0, so batch composition cannot perturb scores in
+// either precision.
 func (s *Scorer) forward32(sn *snapshot32, L int) *tensor.Matrix32 {
 	m := s.m
 	h := m.cfg.Hidden
@@ -157,10 +158,11 @@ func (s *Scorer) forward32(sn *snapshot32, L int) *tensor.Matrix32 {
 	s.att32 = ensureMat32(s.att32, rows, h)
 	s.sub32 = ensureMat32(s.sub32, rows, h)
 	s.ffnH32 = ensureMat32(s.ffnH32, rows, h)
-	if cap(s.scores32) < L*L {
-		s.scores32 = make([]float32, L*L)
+	lp := (L + 3) &^ 3 // score rows padded for tensor.Softmax32
+	if cap(s.scores32) < L*lp {
+		s.scores32 = make([]float32, L*lp)
 	}
-	s.scores32 = s.scores32[:L*L]
+	s.scores32 = s.scores32[:L*lp]
 	s.mask = s.maskFor(L)
 
 	// Embedding (Eq. 1), zero rows for pad/OOV and padded tails.
@@ -249,7 +251,9 @@ func (s *Scorer) attention32(blk *snapBlock32, B, L int, last bool) {
 
 	// dk=8 is the paper model's head width (h=64, m=8); it gets the
 	// packed per-row score and value-mix kernels, other widths the
-	// scalar loops.
+	// scalar loops. Score rows are padded with masked scores to a
+	// multiple of 4 for the packed softmax.
+	lp := (L + 3) &^ 3
 	cols := s.qkv32.Cols
 	fast := dk == 8
 	for head := 0; head < heads; head++ {
@@ -264,7 +268,7 @@ func (s *Scorer) attention32(blk *snapBlock32, B, L int, last bool) {
 			}
 			for i := lo; i < n || (!last && i < L); i++ {
 				qrow := s.qkv32.Row(base + i)[qlo : qlo+dk]
-				srow := s.scores32[i*L : (i+1)*L]
+				srow := s.scores32[i*lp : (i+1)*lp]
 				mrow := s.mask.Row(i)
 				if fast {
 					tensor.QKScores8(srow[:n], qrow, s.qkv32.Data[base*cols+klo:], cols)
@@ -281,7 +285,7 @@ func (s *Scorer) attention32(blk *snapBlock32, B, L int, last bool) {
 							srow[j] = maskedScore32
 							continue
 						}
-						krow := s.qkv32.Row(base+j)[klo : klo+dk]
+						krow := s.qkv32.Row(base + j)[klo : klo+dk]
 						var dot float32
 						for c, qv := range qrow {
 							dot += qv * krow[c]
@@ -289,26 +293,26 @@ func (s *Scorer) attention32(blk *snapBlock32, B, L int, last bool) {
 						srow[j] = dot * scale
 					}
 				}
-				for j := n; j < L; j++ {
+				for j := n; j < lp; j++ {
 					srow[j] = maskedScore32
 				}
-				softmax32Into(srow)
+				tensor.Softmax32(srow)
 				var out []float32
 				if last {
 					out = out2.Row(b)[qlo : qlo+dk]
 				} else {
 					out = out2.Row(base + i)[qlo : qlo+dk]
 				}
+				// Weights past n are exactly 0 after the masked
+				// softmax; srow[:n] drops them up front.
 				if fast {
-					// Weights past n are exactly 0 after the masked
-					// softmax; srow[:n] drops them up front.
 					tensor.AttnV8(out, srow[:n], s.qkv32.Data[base*cols+vlo:], cols)
 				} else {
-					for j, w := range srow {
+					for j, w := range srow[:n] {
 						if w == 0 {
 							continue
 						}
-						vrow := s.qkv32.Row(base+j)[vlo : vlo+dk]
+						vrow := s.qkv32.Row(base + j)[vlo : vlo+dk]
 						for c, vv := range vrow {
 							out[c] += w * vv
 						}
@@ -324,31 +328,9 @@ func (s *Scorer) attention32(blk *snapBlock32, B, L int, last bool) {
 	}
 }
 
-// maskedScore32 is nn.MaskedScore in float32: exp(-1e9 - max)
-// underflows to exactly 0 in this precision too.
+// maskedScore32 is nn.MaskedScore in float32: -1e9 - max lies far
+// below tensor.Softmax32's cutoff, so the weight is exactly 0.
 const maskedScore32 = float32(-1e9)
-
-// softmax32Into normalizes srow in place with the max-subtraction
-// trick; the exponential runs in float64 (one libm call either way)
-// so masked terms underflow to exactly 0 as in the reference kernel.
-func softmax32Into(srow []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, x := range srow {
-		if x > maxv {
-			maxv = x
-		}
-	}
-	var sum float32
-	for i, x := range srow {
-		e := float32(math.Exp(float64(x - maxv)))
-		srow[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range srow {
-		srow[i] *= inv
-	}
-}
 
 // ensureMat32 resizes m to rows x cols, reusing its backing array when
 // large enough. Contents are unspecified; callers overwrite fully.
