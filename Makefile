@@ -31,7 +31,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s -run='^$$' ./internal/wal/
 
 # The float32 scoring kernel's contract: similarity scores within 1e-4
-# of the float64 reference with stable ranks/verdicts, plus the kernel
+# of the float64 reference with stable ranks/verdicts, on every mask
+# kind and the positional variant, and both precisions' weight
+# snapshots tracking a fine-tune (float64 to 1e-9), plus the kernel
 # tests: bitwise parity of the AVX matmul (dispatch forced each way)
 # and the SSE softmax against their portable twins, the softmax
 # exponential's error bound against math.Exp, and the float64

@@ -308,15 +308,14 @@ type errorInfo struct {
 
 // eventsResponse mirrors the /v1/events response shape shared by
 // internal/serve's handler and internal/tenant's router. The top-level
-// "error" key is the envelope object on current servers and a bare
-// string on pre-envelope ones, so it is captured raw and decoded both
-// ways.
+// "error" key is captured raw, so a body whose "error" is not the
+// envelope object (a pre-envelope server's bare string) still decodes
+// its per-event statuses.
 type eventsResponse struct {
 	Accepted int             `json:"accepted"`
 	RawError json.RawMessage `json:"error,omitempty"`
 	Events   []struct {
 		Status    string `json:"status"`
-		Error     string `json:"error,omitempty"`
 		Code      string `json:"code,omitempty"`
 		Retryable bool   `json:"retryable,omitempty"`
 	} `json:"events,omitempty"`
@@ -333,16 +332,6 @@ func (er *eventsResponse) envelope() *errorInfo {
 		return nil
 	}
 	return &e
-}
-
-// legacyError decodes the pre-envelope top-level error string ("" when
-// absent or already an envelope object).
-func (er *eventsResponse) legacyError() string {
-	var s string
-	if json.Unmarshal(er.RawError, &s) == nil {
-		return s
-	}
-	return ""
 }
 
 // postResult classifies one POST attempt: how many events the server
@@ -447,12 +436,10 @@ func (d *HTTPDeliverer) post(ctx context.Context, client *http.Client, url strin
 			return res, nil
 		}
 		// Decode-level 400 (oversized body, proxy rejection, ...): the
-		// server absorbed nothing, so "done" would be silent loss.
-		reason := er.legacyError()
-		if reason == "" {
-			reason = string(rbody)
-		}
-		return res, &permanentError{fmt.Errorf("feed: server rejected request body: %s: %.200s", resp.Status, reason)}
+		// server absorbed nothing, so "done" would be silent loss. An
+		// enveloped 400 was reported above with its message; without
+		// one, the raw body is the reason.
+		return res, &permanentError{fmt.Errorf("feed: server rejected request body: %s: %.200s", resp.Status, rbody)}
 	default:
 		return res, &permanentError{fmt.Errorf("feed: server rejected batch: %s", resp.Status)}
 	}

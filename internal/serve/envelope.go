@@ -12,9 +12,8 @@ import "errors"
 // retryable tells automated senders — the feed deliverer first among
 // them — whether resending the identical request can ever succeed.
 // Responses that previously carried a top-level "error" string now
-// carry this object (per-event statuses inside batch responses keep
-// their legacy "error" string one release longer, alongside the new
-// code/retryable fields).
+// carry this object; per-event statuses inside batch responses carry
+// only the code/retryable pair.
 const (
 	// CodeBackpressure: the shard's scoring queue is full; the event was
 	// rolled back and is safe to resend (Retry-After is set).

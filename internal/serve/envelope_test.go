@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,14 +162,20 @@ func TestEnvelopeGoldenEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var er eventsResponse
-	json.NewDecoder(bresp.Body).Decode(&er)
+	raw, _ := io.ReadAll(bresp.Body)
 	bresp.Body.Close()
+	var er eventsResponse
+	json.Unmarshal(raw, &er)
 	if bresp.StatusCode != http.StatusServiceUnavailable || er.Err == nil || er.Err.Code != CodeShuttingDown || !er.Err.Retryable {
 		t.Fatalf("stopped batch envelope: %d %+v", bresp.StatusCode, er.Err)
 	}
-	if len(er.Events) != 1 || er.Events[0].Code != CodeShuttingDown || !er.Events[0].Retryable || er.Events[0].Error == "" {
+	if len(er.Events) != 1 || er.Events[0].Code != CodeShuttingDown || !er.Events[0].Retryable {
 		t.Fatalf("stopped batch per-event status: %+v", er.Events)
+	}
+	// The per-event legacy "error" string is gone: "error" is only ever
+	// the top-level envelope object.
+	if strings.Contains(string(raw), `"error":"`) {
+		t.Fatalf("batch response still carries a legacy error string: %s", raw)
 	}
 }
 

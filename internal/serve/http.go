@@ -40,11 +40,6 @@ func (s *Service) Handler() http.Handler {
 // eventStatus is one event's outcome within a batched submission.
 type eventStatus struct {
 	Status string `json:"status"` // "accepted" or "rejected"
-	// Error is the legacy rejection-reason string.
-	//
-	// Deprecated: read Code/Retryable instead; Error remains one release
-	// behind the envelope migration and will be dropped.
-	Error string `json:"error,omitempty"`
 	// Code is the envelope taxonomy code of the rejection (empty when
 	// accepted).
 	Code string `json:"code,omitempty"`
@@ -96,8 +91,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		info := ErrorInfoFor(err)
 		statuses[i] = eventStatus{
-			Status: "rejected", Error: err.Error(),
-			Code: info.Code, Retryable: info.Retryable,
+			Status: "rejected", Code: info.Code, Retryable: info.Retryable,
 		}
 		if firstErr == nil || (errors.Is(err, ErrBusy) || errors.Is(err, ErrStopped)) &&
 			!(errors.Is(firstErr, ErrBusy) || errors.Is(firstErr, ErrStopped)) {

@@ -232,8 +232,8 @@ func TestServeHTTPBatchPerEventStatuses(t *testing.T) {
 	if er.Events[0].Status != "accepted" || er.Events[2].Status != "accepted" {
 		t.Fatalf("valid events not accepted: %+v", er.Events)
 	}
-	if er.Events[1].Status != "rejected" || er.Events[1].Error == "" {
-		t.Fatalf("invalid event not rejected with reason: %+v", er.Events[1])
+	if er.Events[1].Status != "rejected" || er.Events[1].Code != CodeInvalidEvent || er.Events[1].Retryable {
+		t.Fatalf("invalid event not rejected with its code: %+v", er.Events[1])
 	}
 	if got := svc.Stats().EventsAccepted; got != 2 {
 		t.Fatalf("events accepted = %d, want 2 (rejection must not shadow later events)", got)

@@ -56,8 +56,7 @@ const maxModelUpload = 256 << 20
 // Every non-2xx response carries the unified error envelope
 // {"error":{"code","message","retryable"}}; the tenant layer extends
 // the serve taxonomy with unknown_tenant, tenant_exists,
-// tenant_draining and invalid_model. The legacy top-level "code" string
-// is still mirrored one release behind the migration.
+// tenant_draining and invalid_model.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/events", r.handleEvents)
@@ -93,14 +92,10 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-// eventStatus mirrors serve's per-event batch status: the legacy Error
-// string plus the envelope's code/retryable pair.
+// eventStatus mirrors serve's per-event batch status: the envelope's
+// code/retryable pair.
 type eventStatus struct {
 	Status string `json:"status"` // "accepted" or "rejected"
-	// Error is the legacy rejection-reason string.
-	//
-	// Deprecated: read Code/Retryable instead.
-	Error string `json:"error,omitempty"`
 	// Code is the envelope taxonomy code of the rejection.
 	Code string `json:"code,omitempty"`
 	// Retryable reports whether resending this exact event can succeed.
@@ -108,15 +103,11 @@ type eventStatus struct {
 }
 
 // eventsResponse mirrors serve's response shape. The top-level "error"
-// key carries the unified envelope object; "code" mirrors its code for
-// clients of the pre-envelope API.
+// key carries the unified envelope object.
 type eventsResponse struct {
 	Accepted int              `json:"accepted"`
 	Err      *serve.ErrorInfo `json:"error,omitempty"`
-	// Deprecated: Code mirrors Err.Code one release behind the envelope
-	// migration.
-	Code   string        `json:"code,omitempty"`
-	Events []eventStatus `json:"events,omitempty"`
+	Events   []eventStatus    `json:"events,omitempty"`
 }
 
 // handleEvents is the routed ingest path. Batches may mix tenants; each
@@ -126,8 +117,7 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	events, isArray, err := serve.DecodeEvents(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, eventsResponse{
-			Err:  serve.Errf(serve.CodeInvalidBody, err.Error(), false),
-			Code: serve.CodeInvalidBody,
+			Err: serve.Errf(serve.CodeInvalidBody, err.Error(), false),
 		})
 		return
 	}
@@ -144,8 +134,7 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 	if !isArray {
 		if err := route(events[0]); err != nil {
-			info := tenantErrorInfo(err)
-			writeJSON(w, routedStatusCode(w, err), eventsResponse{Err: info, Code: info.Code})
+			writeJSON(w, routedStatusCode(w, err), eventsResponse{Err: tenantErrorInfo(err)})
 			return
 		}
 		writeJSON(w, http.StatusAccepted, eventsResponse{Accepted: 1})
@@ -163,8 +152,7 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 		info := tenantErrorInfo(err)
 		statuses[i] = eventStatus{
-			Status: "rejected", Error: err.Error(),
-			Code: info.Code, Retryable: info.Retryable,
+			Status: "rejected", Code: info.Code, Retryable: info.Retryable,
 		}
 		// Backpressure outranks validation errors for the batch status
 		// code (same contract as the single-tenant handler): a 503 tells
@@ -179,7 +167,6 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 	if firstErr != nil {
 		code = routedStatusCode(w, firstErr)
 		resp.Err = tenantErrorInfo(firstErr)
-		resp.Code = resp.Err.Code
 	}
 	writeJSON(w, code, resp)
 }
@@ -265,9 +252,8 @@ func (r *Registry) handleList(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
 	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, tenantErrBody{
+		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{
 			Error: serve.Errf(serve.CodeInvalidBody, "invalid tenant spec", false),
-			Code:  serve.CodeInvalidBody,
 		})
 		return
 	}
@@ -402,20 +388,10 @@ func (r *Registry) delegate(w http.ResponseWriter, req *http.Request) {
 	t.handler.Load().h.ServeHTTP(w, req)
 }
 
-// tenantErrBody is the non-2xx response shape: the unified envelope
-// plus the legacy top-level code mirror.
-type tenantErrBody struct {
-	Error *serve.ErrorInfo `json:"error"`
-	// Deprecated: Code mirrors Error.Code one release behind the
-	// envelope migration.
-	Code string `json:"code,omitempty"`
-}
-
 // writeTenantErr renders a lifecycle/routing error as the unified
 // envelope with its mapped HTTP status.
 func writeTenantErr(w http.ResponseWriter, err error) {
-	info := tenantErrorInfo(err)
-	writeJSON(w, routedStatusCode(w, err), tenantErrBody{Error: info, Code: info.Code})
+	writeJSON(w, routedStatusCode(w, err), serve.ErrorBody{Error: tenantErrorInfo(err)})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -102,10 +102,10 @@ func TestHTTPRoutingAndAdmin(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Code != CodeUnknownTenant || er.Err == nil ||
-		er.Err.Code != CodeUnknownTenant || er.Err.Message == "" || er.Err.Retryable {
+	if er.Err == nil || er.Err.Code != CodeUnknownTenant || er.Err.Message == "" || er.Err.Retryable {
 		t.Fatalf("unknown-tenant response: %+v", er)
 	}
+	assertNoTopLevelCode(t, body)
 
 	// Mixed-tenant batch: the good event is absorbed, the bad one is
 	// rejected with a per-event code, and the batch code surfaces it.
@@ -288,4 +288,18 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// assertNoTopLevelCode fails if an error body still carries the
+// pre-envelope top-level "code" mirror: the code lives only inside the
+// "error" envelope object.
+func assertNoTopLevelCode(t *testing.T, body []byte) {
+	t.Helper()
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatalf("error body is not a JSON object: %s", body)
+	}
+	if _, ok := top["code"]; ok {
+		t.Fatalf("error body still carries a top-level code: %s", body)
+	}
 }

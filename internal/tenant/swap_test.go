@@ -120,13 +120,14 @@ func TestHTTPModelHotSwap(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("garbage swap = %d: %s", code, body)
 	}
-	var eb tenantErrBody
+	var eb serve.ErrorBody
 	if err := json.Unmarshal([]byte(body), &eb); err != nil || eb.Error == nil {
 		t.Fatalf("garbage swap envelope: %s", body)
 	}
-	if eb.Error.Code != CodeInvalidModel || eb.Error.Retryable || eb.Code != CodeInvalidModel {
+	if eb.Error.Code != CodeInvalidModel || eb.Error.Retryable {
 		t.Fatalf("garbage swap envelope: %+v", eb)
 	}
+	assertNoTopLevelCode(t, []byte(body))
 	if resp, _ := postJSON(t, ts.URL+"/v1/events", ev("vb", 2)); resp.StatusCode != http.StatusAccepted {
 		t.Fatal("serving model was disturbed by a rejected upload")
 	}

@@ -1,11 +1,6 @@
 package transdas
 
-import (
-	"math"
-	"sort"
-
-	"github.com/ucad/ucad/internal/tensor"
-)
+import "sort"
 
 // The single-item API below is a thin wrapper family over the
 // batch-first Scorer: every call borrows a pooled Scorer and runs a
@@ -40,43 +35,6 @@ func (m *Model) ScoreNextInto(buf []float64, preceding []int) []float64 {
 	s.oneCtx[0], s.oneOut[0] = nil, nil
 	m.scorers.Put(s)
 	return out
-}
-
-// scoreNextTape is the tape-based reference implementation of
-// ScoreNext: it builds a fresh autodiff graph per call, exactly as
-// training does. The property tests pin the Scorer kernel to this path,
-// and the in-package benchmark measures the per-op cost the batch-first
-// API replaces.
-func (m *Model) scoreNextTape(buf []float64, preceding []int) []float64 {
-	var sims []float64
-	if cap(buf) >= m.cfg.Vocab {
-		sims = buf[:m.cfg.Vocab]
-		for i := range sims {
-			sims[i] = 0
-		}
-	} else {
-		sims = make([]float64, m.cfg.Vocab)
-	}
-	if len(preceding) == 0 {
-		return sims
-	}
-	if len(preceding) > m.cfg.Window {
-		preceding = preceding[len(preceding)-m.cfg.Window:]
-	}
-	tp := tensor.NewTape()
-	out := m.forward(tp, preceding, false)
-	last := out.Value.Row(out.Value.Rows - 1)
-
-	table := m.emb.Table.Value
-	for k := 1; k < m.cfg.Vocab; k++ {
-		row := table.Row(k)
-		var dot float64
-		for j, v := range last {
-			dot += v * row[j]
-		}
-		sims[k] = 1 / (1 + math.Exp(-dot))
-	}
-	return sims
 }
 
 // RankOf returns the 1-based similarity rank of key among all keys given

@@ -111,18 +111,27 @@ func equivContexts(rng *rand.Rand, vocab, window, n int) (ctxs [][]int, keys []i
 }
 
 // TestFloat32EquivalenceScenarioI runs the equivalence contract on the
-// Scenario-I-shaped toy model (h=10-class width, trained role grammar).
+// Scenario-I-shaped toy model (h=10-class width, trained role grammar),
+// once per batchVariants() configuration so the float32 kernel's
+// full-mask, future-mask and positional paths are covered as well as
+// the default mask.
 func TestFloat32EquivalenceScenarioI(t *testing.T) {
-	m := trainToy(t)
-	rng := rand.New(rand.NewSource(31))
-	ctxs, keys := equivContexts(rng, m.cfg.Vocab, m.cfg.Window, 24)
-	// Include genuine role sessions, where the trained structure (and
-	// the anomaly verdicts) live.
-	for i, s := range toySessions(6, rng) {
-		ctxs = append(ctxs, s[:4+i])
-		keys = append(keys, s[4+i])
+	for name, cfg := range batchVariants() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			m := New(cfg)
+			m.Train(toySessions(40, rand.New(rand.NewSource(7))), nil)
+			rng := rand.New(rand.NewSource(31))
+			ctxs, keys := equivContexts(rng, m.cfg.Vocab, m.cfg.Window, 24)
+			// Include genuine role sessions, where the trained structure
+			// (and the anomaly verdicts) live.
+			for i, s := range toySessions(6, rng) {
+				ctxs = append(ctxs, s[:4+i])
+				keys = append(keys, s[4+i])
+			}
+			assertFloat32Equivalence(t, m, ctxs, keys)
+		})
 	}
-	assertFloat32Equivalence(t, m, ctxs, keys)
 }
 
 // TestFloat32EquivalenceScenarioIIShape runs the contract at the
@@ -160,43 +169,48 @@ func TestFloat32EquivalenceScenarioIIShape(t *testing.T) {
 	assertFloat32Equivalence(t, m, ctxs, keys)
 }
 
-// TestFloat32SnapshotTracksFineTune pins the generation machinery: a
-// fine-tune round must invalidate the frozen float32 snapshot, so
-// float32 scores keep agreeing with the *current* float64 weights, not
-// the ones the snapshot was first built from.
+// TestFloat32SnapshotTracksFineTune pins the generation machinery in
+// both precisions: a fine-tune round must invalidate the weight
+// snapshot the scorer reads, so scores keep agreeing with the tape
+// forward over the *current* weights — within 1e-9 in float64 and the
+// float32 tolerance in float32 — not the weights the snapshot was
+// first built from.
 func TestFloat32SnapshotTracksFineTune(t *testing.T) {
-	m := trainToy(t)
-	rng := rand.New(rand.NewSource(41))
-	ctx := toySessions(1, rng)[0][:6]
+	for _, tc := range []struct {
+		prec Precision
+		tol  float64
+	}{{PrecisionFloat64, 1e-9}, {PrecisionFloat32, float32Tol}} {
+		t.Run(tc.prec.String(), func(t *testing.T) {
+			t.Parallel()
+			m := trainToy(t)
+			rng := rand.New(rand.NewSource(41))
+			ctx := toySessions(1, rng)[0][:6]
 
-	m.SetScorePrecision(PrecisionFloat32)
-	before := append([]float64(nil), m.ScoreNext(ctx)...)
+			m.SetScorePrecision(tc.prec)
+			before := append([]float64(nil), m.ScoreNext(ctx)...)
+			m.FineTune(toySessions(10, rng), 3, nil)
+			after := m.ScoreNext(ctx)
+			ref := m.scoreNextTape(nil, ctx)
 
-	m.SetScorePrecision(PrecisionFloat64)
-	m.FineTune(toySessions(10, rng), 3, nil)
-	after64 := append([]float64(nil), m.ScoreNext(ctx)...)
-
-	m.SetScorePrecision(PrecisionFloat32)
-	after32 := m.ScoreNext(ctx)
-	m.SetScorePrecision(PrecisionFloat64)
-
-	for k := range after64 {
-		if d := math.Abs(after64[k] - after32[k]); d > float32Tol {
-			t.Fatalf("key %d: post-finetune float32 %.9f vs float64 %.9f (diff %g) — stale snapshot?",
-				k, after32[k], after64[k], d)
-		}
-	}
-	// Sanity: the fine-tune actually moved the scores, otherwise the
-	// staleness assertion above is vacuous.
-	moved := false
-	for k := range before {
-		if math.Abs(before[k]-after32[k]) > 1e-6 {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("fine-tune did not change any score; staleness check is vacuous")
+			for k := range ref {
+				if d := math.Abs(ref[k] - after[k]); d > tc.tol {
+					t.Fatalf("key %d: post-finetune %v %.12f vs tape %.12f (diff %g > %g) — stale snapshot?",
+						k, tc.prec, after[k], ref[k], d, tc.tol)
+				}
+			}
+			// Sanity: the fine-tune actually moved the scores, otherwise
+			// the staleness assertion above is vacuous.
+			moved := false
+			for k := range before {
+				if math.Abs(before[k]-after[k]) > 1e-6 {
+					moved = true
+					break
+				}
+			}
+			if !moved {
+				t.Fatal("fine-tune did not change any score; staleness check is vacuous")
+			}
+		})
 	}
 }
 

@@ -49,16 +49,17 @@ type Model struct {
 	negWarn         sync.Once
 	degenerateVocab atomic.Bool
 
-	// Inference fast-path state (see scorer32.go and scorecache):
-	// scoreCache memoizes similarity rows by context (nil = disabled),
-	// prec32 selects the float32 scoring kernel, weightGen counts weight
-	// mutations (every train/fine-tune round bumps it), and snap32 holds
-	// the frozen single-precision weight snapshot for the current
+	// Scoring state (see precision.go and scorecache): scoreCache
+	// memoizes similarity rows by context (nil = disabled), prec32
+	// selects the float32 scoring kernel, weightGen counts weight
+	// mutations (every train/fine-tune round bumps it), and snap64 and
+	// snap32 hold each precision's weight snapshot for the current
 	// generation, rebuilt lazily under snapMu after a weight change.
 	scoreCache atomic.Pointer[scorecache.Cache]
 	prec32     atomic.Bool
 	weightGen  atomic.Uint64
-	snap32     atomic.Pointer[snapshot32]
+	snap64     atomic.Pointer[snapshot[float64]]
+	snap32     atomic.Pointer[snapshot[float32]]
 	snapMu     sync.Mutex
 }
 
@@ -139,8 +140,8 @@ func (m *Model) ScorePrecision() Precision {
 	return PrecisionFloat64
 }
 
-// bumpWeightGen records a weight mutation: the float32 snapshot is
-// invalidated (rebuilt lazily on the next float32 score) and every
+// bumpWeightGen records a weight mutation: the weight snapshots are
+// invalidated (rebuilt lazily on the next score) and every
 // cached similarity row becomes stale. Called by train() after each
 // Train/FineTune round, under whatever lock serializes training against
 // scoring (detect.Online's model write-lock in the serving layer).

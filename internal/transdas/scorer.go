@@ -16,16 +16,17 @@ import (
 // set of scratch matrices across calls, so a warm Scorer performs zero
 // heap allocations per batch beyond result rows the caller did not
 // provide. Padded positions embed to the zero vector and are excluded
-// from attention by an additive -1e9 mask, whose softmax terms
-// underflow to exactly 0.0 in float64 — so every context's scores are
-// bit-independent of batch composition and padding length, and agree
-// with the tape-based reference forward to float64 round-off.
+// from attention by an additive -1e9 mask, whose softmax terms are
+// exactly 0.0 in both precisions — so every context's scores are
+// bit-independent of batch composition and padding length, and the
+// float64 scores agree with the tape-based reference forward to
+// float64 round-off.
 //
-// A Scorer is not safe for concurrent use; create one per goroutine
-// (they share the model's parameters, which the Scorer reads on every
-// call, so a Scorer remains valid across in-place fine-tuning as long
-// as scoring and training are externally serialized, e.g. by
-// detect.Online's lock).
+// A Scorer is not safe for concurrent use; create one per goroutine.
+// Scorers read the model's per-generation weight snapshot (see
+// precision.go), so a Scorer remains valid across in-place fine-tuning
+// as long as scoring and training are externally serialized, e.g. by
+// detect.Online's lock.
 type Scorer struct {
 	m *Model
 
@@ -42,28 +43,10 @@ type Scorer struct {
 	ctxs  [][]int
 	lens  []int
 
-	// Scratch matrices, grown on demand and reused across calls.
-	x      *tensor.Matrix // activations, (B·L) x h
-	wqkv   *tensor.Matrix // fused projection weights, h x 3h
-	qkv    *tensor.Matrix // fused Q|K|V projections, (B·L) x 3h
-	att    *tensor.Matrix // concatenated head outputs, (B·L) x h
-	sub    *tensor.Matrix // sub-layer output (attention proj / FFN), (B·L) x h
-	ffnH   *tensor.Matrix // FFN inner activations, (B·L) x h
-	scores []float64      // one L x L attention-score block
-
-	// Compact last-block scratch, one row per sequence (B x h): the
-	// read-out consumes only each sequence's final position, so the last
-	// block computes queries, FFN and norms for those rows alone.
-	attL *tensor.Matrix
-	subL *tensor.Matrix
-	ffnL *tensor.Matrix
-	outL *tensor.Matrix
-
-	// Single-precision scratch, allocated only when the model scores
-	// through the float32 kernel (see scorer32.go).
-	x32, qkv32, att32, sub32, ffnH32 *tensor.Matrix32
-	scores32                         []float32
-	attL32, subL32, ffnL32, outL32   *tensor.Matrix32
+	// Forward-pass scratch, one set per precision, allocated only for
+	// the precision the model scores in.
+	f64 pass[float64]
+	f32 pass[float32]
 
 	// rank scratch and single-item wrapper headers. sims rows are carved
 	// from simsSlab — one arena the rank paths reuse call over call, so
@@ -192,41 +175,12 @@ func (s *Scorer) ScoreBatchInto(dst [][]float64, contexts [][]int) [][]float64 {
 		}
 	}
 
-	// Cache misses run the forward pass — double or single precision
-	// per the model's scoring-kernel setting.
-	if s.m.prec32.Load() {
-		sn := s.m.snapshot32()
-		out := s.forward32(sn, maxLen)
-		for i, b := range s.slots {
-			last := out.Row(i)
-			sims := dst[b]
-			for k := 1; k < vocab; k++ {
-				row := sn.emb.Row(k)
-				var dot float32
-				for j, v := range last {
-					dot += v * row[j]
-				}
-				sims[k] = 1 / (1 + math.Exp(-float64(dot)))
-			}
-		}
+	// Cache misses run the forward pass in the model's scoring
+	// precision.
+	if m := s.m; m.prec32.Load() {
+		score(s, &s.f32, loadSnapshot(m, &m.snap32, kernels32), dst, maxLen)
 	} else {
-		out := s.forward(maxLen)
-
-		// Eq. 10 read-out: one row per context (forward returns each
-		// sequence's last real position, already compacted).
-		table := s.m.emb.Table.Value
-		for i, b := range s.slots {
-			last := out.Row(i)
-			sims := dst[b]
-			for k := 1; k < vocab; k++ {
-				row := table.Row(k)
-				var dot float64
-				for j, v := range last {
-					dot += v * row[j]
-				}
-				sims[k] = 1 / (1 + math.Exp(-dot))
-			}
-		}
+		score(s, &s.f64, loadSnapshot(m, &m.snap64, kernels64), dst, maxLen)
 	}
 	if cache != nil {
 		for i, b := range s.slots {
@@ -276,194 +230,6 @@ func rankIn(sims []float64, key int) int {
 	return rank
 }
 
-// forward runs the tape-free stacked forward pass over the slotted
-// contexts padded to L keys each and returns a compact B x h matrix
-// whose row i is the final block's output at sequence i's last real
-// position — the only row Eq. 10's read-out consumes.
-func (s *Scorer) forward(L int) *tensor.Matrix {
-	m := s.m
-	h := m.cfg.Hidden
-	B := len(s.slots)
-	rows := B * L
-
-	s.x = ensureMat(s.x, rows, h)
-	s.wqkv = ensureMat(s.wqkv, h, 3*h)
-	s.qkv = ensureMat(s.qkv, rows, 3*h)
-	s.att = ensureMat(s.att, rows, h)
-	s.sub = ensureMat(s.sub, rows, h)
-	s.ffnH = ensureMat(s.ffnH, rows, h)
-	if cap(s.scores) < L*L {
-		s.scores = make([]float64, L*L)
-	}
-	s.scores = s.scores[:L*L]
-	s.mask = s.maskFor(L)
-
-	// Embedding (Eq. 1): PadKey, negative and out-of-vocabulary keys map
-	// to the zero vector, exactly as nn.Embedding.Lookup; padded tail
-	// positions are zero too.
-	table := m.emb.Table.Value
-	pad := m.emb.PadKey
-	for i, ctx := range s.ctxs {
-		for t := 0; t < L; t++ {
-			row := s.x.Row(i*L + t)
-			if t >= len(ctx) {
-				zeroRow(row)
-				continue
-			}
-			key := ctx[t]
-			if key == pad || key < 0 || key >= table.Rows {
-				zeroRow(row)
-			} else {
-				copy(row, table.Row(key))
-			}
-		}
-	}
-	if m.pos != nil {
-		// Positional ablation variant: add position t's embedding to
-		// every sequence's row t.
-		for i := 0; i < B; i++ {
-			for t := 0; t < L; t++ {
-				row := s.x.Row(i*L + t)
-				for c, p := range m.pos.Value.Row(t) {
-					row[c] += p
-				}
-			}
-		}
-	}
-
-	for _, blk := range m.blocks[:len(m.blocks)-1] {
-		s.attention(blk.att, B, L, false)
-		// Eq. 5 around attention: x = LN1(x + MH(x)); dropout is the
-		// identity at inference.
-		addInPlace(s.x, s.sub)
-		layerNormInPlace(s.x, blk.ln1)
-		// Eq. 7 FFN, then Eq. 5 again: x = LN2(x + FFN(x)).
-		tensor.MatMulInto(s.ffnH, s.x, blk.ffn.L1.W.Value)
-		biasReLUInPlace(s.ffnH, blk.ffn.L1.B.Value)
-		tensor.MatMulInto(s.sub, s.ffnH, blk.ffn.L2.W.Value)
-		addBiasInPlace(s.sub, blk.ffn.L2.B.Value)
-		addInPlace(s.x, s.sub)
-		layerNormInPlace(s.x, blk.ln2)
-	}
-
-	// Last block, compact: every position still contributes keys and
-	// values, but only each sequence's last real position is queried,
-	// normalized and fed through the FFN — the rest would be discarded
-	// by the read-out.
-	blk := m.blocks[len(m.blocks)-1]
-	s.attL = ensureMat(s.attL, B, h)
-	s.subL = ensureMat(s.subL, B, h)
-	s.ffnL = ensureMat(s.ffnL, B, h)
-	s.outL = ensureMat(s.outL, B, h)
-	s.attention(blk.att, B, L, true)
-	for i := 0; i < B; i++ {
-		lastRow := s.x.Row(i*L + s.lens[i] - 1)
-		out := s.outL.Row(i)
-		sub := s.subL.Row(i)
-		for c := range out {
-			out[c] = lastRow[c] + sub[c]
-		}
-	}
-	layerNormInPlace(s.outL, blk.ln1)
-	tensor.MatMulInto(s.ffnL, s.outL, blk.ffn.L1.W.Value)
-	biasReLUInPlace(s.ffnL, blk.ffn.L1.B.Value)
-	tensor.MatMulInto(s.subL, s.ffnL, blk.ffn.L2.W.Value)
-	addBiasInPlace(s.subL, blk.ffn.L2.B.Value)
-	addInPlace(s.outL, s.subL)
-	layerNormInPlace(s.outL, blk.ln2)
-	return s.outL
-}
-
-// attention computes one masked multi-head attention layer (Eqs. 2–4)
-// over the B stacked L-row sequences in s.x, leaving the projected
-// output in s.sub. Scores never cross sequence boundaries, and key
-// columns beyond a sequence's real length get exactly zero weight.
-// With last set, only each sequence's final real position is queried
-// (all positions still serve as keys and values) and the projected
-// B x h output lands in s.subL instead.
-func (s *Scorer) attention(a *nn.MultiHeadAttention, B, L int, last bool) {
-	h := a.WQ.Value.Rows
-	dk := h / a.Heads
-	scale := 1 / math.Sqrt(float64(h))
-
-	// One fused projection pass: Q, K and V share the input, so
-	// concatenating their weights column-wise computes all three with a
-	// single sweep over the activations. Each output element is the same
-	// k-ascending dot product as three separate matmuls.
-	for r := 0; r < h; r++ {
-		row := s.wqkv.Row(r)
-		copy(row[:h], a.WQ.Value.Row(r))
-		copy(row[h:2*h], a.WK.Value.Row(r))
-		copy(row[2*h:], a.WV.Value.Row(r))
-	}
-	tensor.MatMulInto(s.qkv, s.x, s.wqkv)
-	heads := s.att
-	if last {
-		heads = s.attL
-	}
-	heads.Zero()
-
-	for head := 0; head < a.Heads; head++ {
-		qlo := head * dk
-		klo, vlo := h+qlo, 2*h+qlo
-		for b := 0; b < B; b++ {
-			base := b * L
-			n := s.lens[b]
-			// Score block: scaled dot products plus the kind mask, with
-			// padded key columns forced to -1e9. Kind-masked pairs skip
-			// the dot entirely: their softmax term underflows to zero
-			// either way.
-			lo := 0
-			if last {
-				lo = n - 1
-			}
-			for i := lo; i < n || (!last && i < L); i++ {
-				qrow := s.qkv.Row(base + i)[qlo : qlo+dk]
-				srow := s.scores[i*L : (i+1)*L]
-				mrow := s.mask.Row(i)
-				for j := 0; j < n; j++ {
-					if mrow[j] != 0 {
-						srow[j] = nn.MaskedScore
-						continue
-					}
-					krow := s.qkv.Row(base+j)[klo : klo+dk]
-					var dot float64
-					for c, qv := range qrow {
-						dot += qv * krow[c]
-					}
-					srow[j] = dot * scale
-				}
-				for j := n; j < L; j++ {
-					srow[j] = nn.MaskedScore
-				}
-				tensor.SoftmaxInto(srow, srow)
-				// Weighted read-out into this head's output stripe; the
-				// masked weights are exactly zero and skipped.
-				var out []float64
-				if last {
-					out = heads.Row(b)[qlo : qlo+dk]
-				} else {
-					out = heads.Row(base + i)[qlo : qlo+dk]
-				}
-				for j, w := range srow {
-					if w == 0 {
-						continue
-					}
-					vrow := s.qkv.Row(base+j)[vlo : vlo+dk]
-					for c, vv := range vrow {
-						out[c] += w * vv
-					}
-				}
-			}
-		}
-	}
-	if last {
-		tensor.MatMulInto(s.subL, heads, a.WO.Value)
-	} else {
-		tensor.MatMulInto(s.sub, heads, a.WO.Value)
-	}
-}
-
 // maskFor returns the kind mask for padded length L, built once per
 // distinct length and cached: session scans alternate padded lengths
 // chunk to chunk, and the masks are pure functions of (kind, L).
@@ -479,26 +245,265 @@ func (s *Scorer) maskFor(L int) *tensor.Matrix {
 	return m
 }
 
+// score runs the forward pass over the slotted contexts padded to L
+// keys each and writes each one's Eq. 10 read-out into its dst row:
+// sim[k] = sigmoid(O_last · M(k)), with the embedding table doubling as
+// the read-out table.
+func score[T elem](s *Scorer, p *pass[T], sn *snapshot[T], dst [][]float64, L int) {
+	out := forward(s, p, sn, L)
+	for i, b := range s.slots {
+		last := out.Row(i)
+		sims := dst[b]
+		for k := 1; k < len(sims); k++ {
+			row := sn.emb.Row(k)
+			var dot T
+			for j, v := range last {
+				dot += v * row[j]
+			}
+			sims[k] = 1 / (1 + math.Exp(-float64(dot)))
+		}
+	}
+}
+
+// pass is one precision's forward-pass scratch, grown on demand and
+// reused across calls.
+type pass[T elem] struct {
+	x      *mat[T] // activations, (B·L) x h
+	qkv    *mat[T] // fused Q|K|V projections, (B·L) x 3h
+	att    *mat[T] // concatenated head outputs, (B·L) x h
+	sub    *mat[T] // sub-layer output (attention proj / FFN), (B·L) x h
+	ffnH   *mat[T] // FFN inner activations, (B·L) x h
+	scores []T     // one L x lp attention-score block
+
+	// Compact last-block scratch, one row per sequence (B x h): the
+	// read-out consumes only each sequence's final position, so the last
+	// block computes queries, FFN and norms for those rows alone.
+	attL, subL, ffnL, outL *mat[T]
+}
+
+// forward runs the tape-free stacked forward pass over the slotted
+// contexts padded to L keys each, reading the weight snapshot sn, and
+// returns a compact B x h matrix whose row i is the final block's
+// output at sequence i's last real position — the only row Eq. 10's
+// read-out consumes.
+func forward[T elem](s *Scorer, p *pass[T], sn *snapshot[T], L int) *mat[T] {
+	h := s.m.cfg.Hidden
+	B := len(s.slots)
+	rows := B * L
+
+	p.x = ensureMat(p.x, rows, h)
+	p.qkv = ensureMat(p.qkv, rows, 3*h)
+	p.att = ensureMat(p.att, rows, h)
+	p.sub = ensureMat(p.sub, rows, h)
+	p.ffnH = ensureMat(p.ffnH, rows, h)
+	lp := (L + 3) &^ 3 // score rows padded for tensor.Softmax32
+	if cap(p.scores) < L*lp {
+		p.scores = make([]T, L*lp)
+	}
+	p.scores = p.scores[:L*lp]
+	s.mask = s.maskFor(L)
+
+	// Embedding (Eq. 1): PadKey, negative and out-of-vocabulary keys map
+	// to the zero vector, exactly as nn.Embedding.Lookup; padded tail
+	// positions are zero too.
+	table := sn.emb
+	pad := s.m.emb.PadKey
+	for i, ctx := range s.ctxs {
+		for t := 0; t < L; t++ {
+			row := p.x.Row(i*L + t)
+			if t >= len(ctx) {
+				clear(row)
+				continue
+			}
+			key := ctx[t]
+			if key == pad || key < 0 || key >= table.Rows {
+				clear(row)
+			} else {
+				copy(row, table.Row(key))
+			}
+		}
+	}
+	if sn.pos != nil {
+		// Positional ablation variant: add position t's embedding to
+		// every sequence's row t.
+		for i := 0; i < B; i++ {
+			for t := 0; t < L; t++ {
+				row := p.x.Row(i*L + t)
+				for c, v := range sn.pos.Row(t) {
+					row[c] += v
+				}
+			}
+		}
+	}
+
+	mm := sn.k.matMul
+	for bi := range sn.blocks[:len(sn.blocks)-1] {
+		blk := &sn.blocks[bi]
+		attention(s, p, sn.k, blk, B, L, false)
+		// Eq. 5 around attention: x = LN1(x + MH(x)); dropout is the
+		// identity at inference.
+		addInPlace(p.x, p.sub)
+		layerNormInPlace(p.x, blk.ln1g, blk.ln1b, blk.ln1eps)
+		// Eq. 7 FFN, then Eq. 5 again: x = LN2(x + FFN(x)).
+		mm(p.ffnH, p.x, blk.w1)
+		biasReLUInPlace(p.ffnH, blk.b1)
+		mm(p.sub, p.ffnH, blk.w2)
+		addBiasInPlace(p.sub, blk.b2)
+		addInPlace(p.x, p.sub)
+		layerNormInPlace(p.x, blk.ln2g, blk.ln2b, blk.ln2eps)
+	}
+
+	// Last block, compact: every position still contributes keys and
+	// values, but only each sequence's last real position is queried,
+	// normalized and fed through the FFN — the rest would be discarded
+	// by the read-out.
+	blk := &sn.blocks[len(sn.blocks)-1]
+	p.attL = ensureMat(p.attL, B, h)
+	p.subL = ensureMat(p.subL, B, h)
+	p.ffnL = ensureMat(p.ffnL, B, h)
+	p.outL = ensureMat(p.outL, B, h)
+	attention(s, p, sn.k, blk, B, L, true)
+	for i := 0; i < B; i++ {
+		lastRow := p.x.Row(i*L + s.lens[i] - 1)
+		out := p.outL.Row(i)
+		sub := p.subL.Row(i)
+		for c := range out {
+			out[c] = lastRow[c] + sub[c]
+		}
+	}
+	layerNormInPlace(p.outL, blk.ln1g, blk.ln1b, blk.ln1eps)
+	mm(p.ffnL, p.outL, blk.w1)
+	biasReLUInPlace(p.ffnL, blk.b1)
+	mm(p.subL, p.ffnL, blk.w2)
+	addBiasInPlace(p.subL, blk.b2)
+	addInPlace(p.outL, p.subL)
+	layerNormInPlace(p.outL, blk.ln2g, blk.ln2b, blk.ln2eps)
+	return p.outL
+}
+
+// attention computes one masked multi-head attention layer (Eqs. 2–4)
+// over the B stacked L-row sequences in p.x, leaving the projected
+// output in p.sub. Scores never cross sequence boundaries, and key
+// columns beyond a sequence's real length get exactly zero weight.
+// With last set, only each sequence's final real position is queried
+// (all positions still serve as keys and values) and the projected
+// B x h output lands in p.subL instead.
+func attention[T elem](s *Scorer, p *pass[T], k *kernels[T], blk *snapBlock[T], B, L int, last bool) {
+	h := blk.wo.Rows
+	heads := s.m.cfg.Heads
+	dk := h / heads
+	scale := T(1 / math.Sqrt(float64(h)))
+	masked := T(nn.MaskedScore)
+
+	// One fused projection pass: Q, K and V share the input, so the
+	// snapshot's column-wise concat of their weights computes all three
+	// with a single sweep over the activations. Each output element is
+	// the same k-ascending dot product as three separate matmuls.
+	k.matMul(p.qkv, p.x, blk.wqkv)
+	out2 := p.att
+	if last {
+		out2 = p.attL
+	}
+	clear(out2.Data)
+
+	// dk=8 is the paper model's head width (h=64, m=8); where the
+	// precision has packed per-row score and value-mix kernels it uses
+	// them, otherwise the scalar loops. Score rows are padded with
+	// masked scores to a multiple of 4 for the packed softmax.
+	lp := (L + 3) &^ 3
+	cols := p.qkv.Cols
+	packed := dk == 8 && k.qkScores8 != nil
+	for head := 0; head < heads; head++ {
+		qlo := head * dk
+		klo, vlo := h+qlo, 2*h+qlo
+		for b := 0; b < B; b++ {
+			base := b * L
+			n := s.lens[b]
+			lo := 0
+			if last {
+				lo = n - 1
+			}
+			for i := lo; i < n || (!last && i < L); i++ {
+				// Score block: scaled dot products plus the kind mask,
+				// with padded key columns forced to the masked score.
+				qrow := p.qkv.Row(base + i)[qlo : qlo+dk]
+				srow := p.scores[i*lp : (i+1)*lp]
+				mrow := s.mask.Row(i)
+				if packed {
+					k.qkScores8(srow[:n], qrow, p.qkv.Data[base*cols+klo:], cols)
+					for j := 0; j < n; j++ {
+						if mrow[j] != 0 {
+							srow[j] = masked
+						} else {
+							srow[j] *= scale
+						}
+					}
+				} else {
+					// Kind-masked pairs skip the dot entirely: their
+					// softmax term is zero either way.
+					for j := 0; j < n; j++ {
+						if mrow[j] != 0 {
+							srow[j] = masked
+							continue
+						}
+						krow := p.qkv.Row(base + j)[klo : klo+dk]
+						var dot T
+						for c, qv := range qrow {
+							dot += qv * krow[c]
+						}
+						srow[j] = dot * scale
+					}
+				}
+				for j := n; j < lp; j++ {
+					srow[j] = masked
+				}
+				k.softmax(srow)
+				// Weighted read-out into this head's output stripe.
+				// Weights past n are exactly 0 after the masked softmax;
+				// srow[:n] drops them up front.
+				var out []T
+				if last {
+					out = out2.Row(b)[qlo : qlo+dk]
+				} else {
+					out = out2.Row(base + i)[qlo : qlo+dk]
+				}
+				if packed {
+					k.attnV8(out, srow[:n], p.qkv.Data[base*cols+vlo:], cols)
+				} else {
+					for j, w := range srow[:n] {
+						if w == 0 {
+							continue
+						}
+						vrow := p.qkv.Row(base + j)[vlo : vlo+dk]
+						for c, vv := range vrow {
+							out[c] += w * vv
+						}
+					}
+				}
+			}
+		}
+	}
+	if last {
+		k.matMul(p.subL, out2, blk.wo)
+	} else {
+		k.matMul(p.sub, out2, blk.wo)
+	}
+}
+
 // ensureMat resizes m to rows x cols, reusing its backing array when
 // large enough. Contents are unspecified; callers overwrite fully.
-func ensureMat(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+func ensureMat[T elem](m *mat[T], rows, cols int) *mat[T] {
 	need := rows * cols
 	if m == nil || cap(m.Data) < need {
-		return tensor.NewMatrix(rows, cols)
+		return newMat[T](rows, cols)
 	}
 	m.Data = m.Data[:need]
 	m.Rows, m.Cols = rows, cols
 	return m
 }
 
-func zeroRow(row []float64) {
-	for i := range row {
-		row[i] = 0
-	}
-}
-
 // addInPlace accumulates dst += src elementwise.
-func addInPlace(dst, src *tensor.Matrix) {
+func addInPlace[T elem](dst, src *mat[T]) {
 	for i, v := range src.Data {
 		dst.Data[i] += v
 	}
@@ -506,47 +511,50 @@ func addInPlace(dst, src *tensor.Matrix) {
 
 // layerNormInPlace applies Eq. 6 row-wise: x = g ⊙ (x-μ)/√(σ²+ε) + b,
 // with the same operation order as the tape path (NormalizeRows, gain,
-// bias) so results match to the bit.
-func layerNormInPlace(x *tensor.Matrix, ln *nn.LayerNorm) {
-	gain, bias := ln.Gain.Value.Data, ln.Bias.Value.Data
+// bias) so float64 results match it to the bit. Mean and variance
+// accumulate in float64 in both precisions (the reductions are where
+// float32 error would compound; the O(h) cost is negligible next to
+// the matmuls).
+func layerNormInPlace[T elem](x *mat[T], gain, bias []T, eps float64) {
 	nf := float64(x.Cols)
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		var mu float64
 		for _, v := range row {
-			mu += v
+			mu += float64(v)
 		}
 		mu /= nf
 		var va float64
 		for _, v := range row {
-			d := v - mu
+			d := float64(v) - mu
 			va += d * d
 		}
 		va /= nf
-		inv := 1 / math.Sqrt(va+ln.Eps)
+		inv := T(1 / math.Sqrt(va+eps))
+		muT := T(mu)
 		for c, v := range row {
-			row[c] = (v-mu)*inv*gain[c] + bias[c]
+			row[c] = (v-muT)*inv*gain[c] + bias[c]
 		}
 	}
 }
 
 // biasReLUInPlace applies x = max(0, x + b) row-wise (Eq. 7's first
 // stage after the matmul).
-func biasReLUInPlace(x *tensor.Matrix, b *tensor.Matrix) {
+func biasReLUInPlace[T elem](x *mat[T], b []T) {
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		for c := range row {
-			row[c] = math.Max(0, row[c]+b.Data[c])
+			row[c] = max(0, row[c]+b[c])
 		}
 	}
 }
 
 // addBiasInPlace applies x = x + b row-wise.
-func addBiasInPlace(x *tensor.Matrix, b *tensor.Matrix) {
+func addBiasInPlace[T elem](x *mat[T], b []T) {
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		for c := range row {
-			row[c] += b.Data[c]
+			row[c] += b[c]
 		}
 	}
 }

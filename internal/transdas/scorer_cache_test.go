@@ -199,22 +199,36 @@ func TestRankBatchUsesCache(t *testing.T) {
 	}
 }
 
-// TestScoreBatchWarmCacheAllocFree: with every context cached, the
-// batch scoring path must not allocate — rows come from the scorer's
-// arena and sims from the cache.
+// TestScoreBatchWarmCacheAllocFree: a warm Scorer must not allocate in
+// either precision, with every context cached (rows come from the
+// scorer's arena and sims from the cache) and without a cache (the
+// forward pass reuses its scratch and the weight snapshot).
 func TestScoreBatchWarmCacheAllocFree(t *testing.T) {
 	m := trainToy(t)
-	c := scorecache.New(64)
-	m.SetScoreCache(c)
-	defer m.SetScoreCache(nil)
 	rng := rand.New(rand.NewSource(25))
 	ctxs := cacheTestContexts(rng, m, 4)
-	s := m.NewScorer()
-	s.ScoreBatch(ctxs) // populate cache and arena
-	avg := testing.AllocsPerRun(50, func() {
-		s.ScoreBatch(ctxs)
-	})
-	if avg > 0 {
-		t.Fatalf("warm cached ScoreBatch allocates %.1f times per call, want 0", avg)
+	for _, cached := range []bool{true, false} {
+		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+			name := "uncached-" + prec.String()
+			if cached {
+				name = "cached-" + prec.String()
+			}
+			t.Run(name, func(t *testing.T) {
+				if cached {
+					m.SetScoreCache(scorecache.New(64))
+					defer m.SetScoreCache(nil)
+				}
+				m.SetScorePrecision(prec)
+				defer m.SetScorePrecision(PrecisionFloat64)
+				s := m.NewScorer()
+				s.ScoreBatch(ctxs) // populate cache, arena and scratch
+				avg := testing.AllocsPerRun(50, func() {
+					s.ScoreBatch(ctxs)
+				})
+				if avg > 0 {
+					t.Fatalf("warm ScoreBatch allocates %.1f times per call, want 0", avg)
+				}
+			})
+		}
 	}
 }
